@@ -5,12 +5,13 @@
 //! announce-then-withdraw from scratch, and the incremental
 //! withdraw/re-announce cascade on a warm table.
 //!
-//! Besides the criterion groups, the run writes `BENCH_propagation.json`
-//! at the repo root with direct wall-clock numbers and the event/sweep
-//! speedup per case, plus per-case activation/import work counters and
-//! the whole-universe batched-vs-per-prefix comparison (shape groups
-//! computed, prefixes shared by fan-out), so perf claims are recorded
-//! alongside the code.
+//! The run writes `BENCH_propagation.json` at the repo root with direct
+//! wall-clock numbers and the event/sweep speedup per case, plus per-case
+//! activation/import work counters and the whole-universe
+//! batched-vs-per-prefix comparison (shape groups computed, prefixes
+//! shared by fan-out), so perf claims are recorded alongside the code.
+//! Run with `cargo bench --bench propagation` (release);
+//! `IR_BENCH_SAMPLES` controls timing repetitions (default 10).
 //!
 //! The counters exist to keep the speedup column honest. In particular
 //! `withdraw_cascade` compresses to ~1.3–1.5×, and that is *near work
@@ -23,26 +24,19 @@
 //! local (`reannounce_poison`) or the sweep pays extra settle rounds
 //! (`announce`), which is where the 3–5× wins come from.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ir_bgp::universe::prefix_owners;
 use ir_bgp::{ActivationOrder, Announcement, PrefixSim, RoutingUniverse, SimContext, SweepSim};
 use ir_topology::{GeneratorConfig, World};
 use ir_types::{Asn, Prefix, Timestamp};
 use std::hint::black_box;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Inter-event gap comfortably above the route-age granularity.
 const ROUND: u64 = 2 * 90 * 60;
 
-fn world() -> &'static World {
-    static W: OnceLock<World> = OnceLock::new();
-    W.get_or_init(|| GeneratorConfig::default().build(7))
-}
-
 /// The announced origin: a stub AS, as in the measurement campaigns.
-fn origin_prefix() -> (Asn, Prefix) {
-    let stub = world()
+fn origin_prefix(w: &World) -> (Asn, Prefix) {
+    let stub = w
         .graph
         .nodes()
         .iter()
@@ -53,8 +47,8 @@ fn origin_prefix() -> (Asn, Prefix) {
 
 /// First transit hop of some converged multi-hop route — the poison target
 /// a §4.4 campaign would pick to force an alternate.
-fn poison_target(sim: &PrefixSim<'_>) -> Asn {
-    (0..world().graph.len())
+fn poison_target(w: &World, sim: &PrefixSim<'_>) -> Asn {
+    (0..w.graph.len())
         .find_map(|x| {
             let hops = sim.best(x)?.path.sequence_asns();
             if hops.len() >= 2 {
@@ -82,130 +76,6 @@ fn reannounce_cycle(
     announce(Announcement::plain(origin, prefix), Timestamp(*t));
 }
 
-fn bench_engines(c: &mut Criterion) {
-    let w = world();
-    let (origin, prefix) = origin_prefix();
-    let ctx = SimContext::shared(w);
-
-    let mut g = c.benchmark_group("propagation/announce");
-    g.sample_size(25);
-    g.bench_function("event", |b| {
-        b.iter(|| {
-            let mut sim = PrefixSim::with_context(ctx.clone(), prefix);
-            sim.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
-            black_box(sim.stats())
-        })
-    });
-    g.bench_function("sweep", |b| {
-        b.iter(|| {
-            let mut sim = SweepSim::with_context(ctx.clone(), prefix);
-            sim.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
-            black_box(sim.stats())
-        })
-    });
-    g.finish();
-
-    let mut g = c.benchmark_group("propagation/reannounce_poison");
-    g.sample_size(25);
-    g.bench_function("event", |b| {
-        let mut sim = PrefixSim::with_context(ctx.clone(), prefix);
-        sim.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
-        let poison = poison_target(&sim);
-        let mut t = 0u64;
-        b.iter(|| {
-            reannounce_cycle(
-                &mut |ann, at| {
-                    sim.announce(ann, at);
-                },
-                origin,
-                prefix,
-                poison,
-                &mut t,
-            );
-            black_box(sim.clock())
-        })
-    });
-    g.bench_function("sweep", |b| {
-        let probe = {
-            let mut s = PrefixSim::with_context(ctx.clone(), prefix);
-            s.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
-            poison_target(&s)
-        };
-        let mut sim = SweepSim::with_context(ctx.clone(), prefix);
-        sim.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
-        let mut t = 0u64;
-        b.iter(|| {
-            reannounce_cycle(
-                &mut |ann, at| {
-                    sim.announce(ann, at);
-                },
-                origin,
-                prefix,
-                probe,
-                &mut t,
-            );
-            black_box(sim.clock())
-        })
-    });
-    g.finish();
-
-    let mut g = c.benchmark_group("propagation/withdraw");
-    g.sample_size(25);
-    g.bench_function("event", |b| {
-        let mut t = 0u64;
-        b.iter(|| {
-            let mut sim = PrefixSim::with_context(ctx.clone(), prefix);
-            sim.announce(Announcement::plain(origin, prefix), Timestamp(t));
-            t += ROUND;
-            sim.withdraw(Timestamp(t));
-            t += ROUND;
-            black_box(sim.stats())
-        })
-    });
-    g.bench_function("sweep", |b| {
-        let mut t = 0u64;
-        b.iter(|| {
-            let mut sim = SweepSim::with_context(ctx.clone(), prefix);
-            sim.announce(Announcement::plain(origin, prefix), Timestamp(t));
-            t += ROUND;
-            sim.withdraw(Timestamp(t));
-            t += ROUND;
-            black_box(sim.stats())
-        })
-    });
-    g.finish();
-
-    // Incremental withdraw/re-announce cascade on a warm table: the
-    // torture-suite shape, and the one the bucketed worklist exists for.
-    let mut g = c.benchmark_group("propagation/withdraw_cascade");
-    g.sample_size(25);
-    g.bench_function("event", |b| {
-        let mut sim = PrefixSim::with_context(ctx.clone(), prefix);
-        sim.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
-        let mut t = 0u64;
-        b.iter(|| {
-            t += ROUND;
-            sim.withdraw(Timestamp(t));
-            t += ROUND;
-            sim.announce(Announcement::plain(origin, prefix), Timestamp(t));
-            black_box(sim.clock())
-        })
-    });
-    g.bench_function("sweep", |b| {
-        let mut sim = SweepSim::with_context(ctx.clone(), prefix);
-        sim.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
-        let mut t = 0u64;
-        b.iter(|| {
-            t += ROUND;
-            sim.withdraw(Timestamp(t));
-            t += ROUND;
-            sim.announce(Announcement::plain(origin, prefix), Timestamp(t));
-            black_box(sim.clock())
-        })
-    });
-    g.finish();
-}
-
 /// Directly timed head-to-head, recorded as JSON. `iters` full repetitions
 /// per case; mean nanoseconds reported.
 fn timed<F: FnMut()>(iters: u32, mut f: F) -> f64 {
@@ -218,9 +88,9 @@ fn timed<F: FnMut()>(iters: u32, mut f: F) -> f64 {
     t0.elapsed().as_nanos() as f64 / iters as f64
 }
 
-fn write_json(c: &mut Criterion) {
-    let w = world();
-    let (origin, prefix) = origin_prefix();
+fn main() {
+    let w = &GeneratorConfig::default().build(7);
+    let (origin, prefix) = origin_prefix(w);
     let ctx = SimContext::shared(w);
     let iters: u32 = std::env::var("IR_BENCH_SAMPLES")
         .ok()
@@ -241,7 +111,7 @@ fn write_json(c: &mut Criterion) {
     let poison = {
         let mut s = PrefixSim::with_context(ctx.clone(), prefix);
         s.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
-        poison_target(&s)
+        poison_target(w, &s)
     };
     let reannounce_event = {
         let mut sim = PrefixSim::with_context(ctx.clone(), prefix);
@@ -454,8 +324,4 @@ fn write_json(c: &mut Criterion) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_propagation.json");
     std::fs::write(path, &json).expect("write BENCH_propagation.json");
     println!("wrote {path}:\n{json}");
-    let _ = c;
 }
-
-criterion_group!(propagation, bench_engines, write_json);
-criterion_main!(propagation);

@@ -27,18 +27,35 @@ struct Row {
     src_skew: f64,
 }
 
+fn usage() -> ! {
+    eprintln!("usage: sweep [--seeds N] [--scale tiny|paper]");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut seeds = 5u64;
-    let mut scale = "tiny".to_string();
+    let mut build: fn(u64) -> ScenarioConfig = ScenarioConfig::tiny;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--seeds" => seeds = args.next().and_then(|v| v.parse().ok()).unwrap_or(5),
-            "--scale" => scale = args.next().unwrap_or_else(|| "tiny".into()),
-            _ => {
-                eprintln!("usage: sweep [--seeds N] [--scale tiny|paper]");
-                std::process::exit(2);
+            "--seeds" => {
+                seeds = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| usage())
             }
+            "--scale" => {
+                build = match args.next().as_deref() {
+                    Some("tiny") => ScenarioConfig::tiny,
+                    Some("paper") => ScenarioConfig::paper_scale,
+                    Some(other) => {
+                        eprintln!("unknown scale: {other}");
+                        usage();
+                    }
+                    None => usage(),
+                }
+            }
+            _ => usage(),
         }
     }
 
@@ -61,11 +78,7 @@ fn main() {
     let rows: Vec<Row> = seed_list
         .par_iter()
         .map(|&seed| {
-            let cfg = match scale.as_str() {
-                "paper" => ScenarioConfig::paper_scale(seed),
-                _ => ScenarioConfig::tiny(seed),
-            };
-            let s = Scenario::build(cfg);
+            let s = Scenario::build(build(seed));
             let fig1 = ir_experiments::exp_fig1::run(&s);
             let fig3 = ir_experiments::exp_fig3::run(&s);
             let t3 = ir_experiments::exp_table3::run(&s);

@@ -19,8 +19,8 @@
 //!   budgets with cooperative cancellation, per-prefix circuit breakers,
 //!   degraded-mode answers, graceful drain, and crash-safe snapshot
 //!   autosave through the atomic temp + fsync + rename path.
-//! * [`client`] — a thin blocking client used by the tests, the smoke
-//!   script, and `diag serve`.
+//! * [`client`] — a thin blocking client used by the tests and the smoke
+//!   script.
 //!
 //! Robustness invariants the integration suites pin:
 //!

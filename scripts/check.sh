@@ -16,7 +16,9 @@ run() {
 
 run cargo build "${OFFLINE[@]}" --release --workspace
 run cargo test "${OFFLINE[@]}" -q --workspace
-run cargo clippy "${OFFLINE[@]}" --workspace -- -D warnings
+# All targets: `cargo test` never compiles benches, so this is the only
+# gate that builds the artifact benches under crates/bench/benches.
+run cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
 # Graceful-degradation gate: every workspace library must not panic on
 # malformed input. All lib targets deny clippy::unwrap_used /
 # clippy::expect_used (tests are exempt via cfg_attr); this pass fails
@@ -60,6 +62,12 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-serve \
 # Bench-artifact schema gate: the committed BENCH_*.json files at the repo
 # root must parse and carry the keys documentation and dashboards read.
 run cargo test "${OFFLINE[@]}" -q -p ir-bench --test bench_schema
+# Benchmark-harness gate (release): perfbench/ is a workspace of its own
+# that builds against crates/* by path, so an API change there that
+# breaks the end-to-end benchmark fails here rather than at benchmark
+# time. Its unit tests run in the harness's own build directory.
+run env CARGO_TARGET_DIR=.bench_build cargo test "${OFFLINE[@]}" --release -q \
+    --manifest-path perfbench/Cargo.toml
 # Policy-safety gate: the generated tiny world must audit clean (the
 # binary exits 1 on any Error-severity finding).
 run cargo run "${OFFLINE[@]}" --release -p ir-experiments --bin audit -- --scale tiny --seed 7
