@@ -20,10 +20,18 @@
 //! * BGP loop prevention, which is what makes poisoning work — and its
 //!   per-AS opt-outs, which is what makes poisoning *fail* in the ways §4.4
 //!   describes;
+//! * per-AS defense hooks ([`extension`]) consulted on both sides of a
+//!   session;
 //! * an event-driven worklist fixpoint engine per prefix
-//!   ([`sim::PrefixSim`], with the legacy full-sweep oracle in [`sweep`])
-//!   over a per-world shared [`sim::SimContext`], and a rayon-parallel
-//!   multi-prefix layer ([`universe`]).
+//!   ([`sim::PrefixSim`]) over a per-world shared [`sim::SimContext`].
+//!   Every session transfer it makes — propagation, adj-RIB-in
+//!   re-derivation, session re-establishment — runs one step: export
+//!   (downed link, export policy, export defenses), then import (poison
+//!   filter, import defenses, import policy). The legacy full-sweep oracle
+//!   ([`sweep`]) keeps its own pipeline over materialized routes, so the
+//!   differential suites judge the engine independently;
+//! * a rayon-parallel multi-prefix layer ([`universe`]) and warm what-if
+//!   queries by delta reconvergence ([`whatif`]).
 //!
 //! Hybrid relationships are modeled the way they arise operationally: a
 //! link interconnecting in two cities is **two BGP sessions**, each with the
@@ -51,7 +59,7 @@ pub use patharena::{ArenaStats, PathArena, PathId};
 pub use route::Route;
 pub use sim::{
     hijack_origination, ActivationOrder, Announcement, Convergence, Delta, EngineStats, PrefixSim,
-    PropagationEngine, SimContext, StepBudget,
+    SimContext, StepBudget,
 };
 pub use sweep::SweepSim;
 pub use universe::{snapshot_staging_path, RoutingUniverse, UniverseResilience};

@@ -604,38 +604,6 @@ impl ShapeTable {
     }
 }
 
-/// A propagation engine: anything that can run announcement events for one
-/// prefix to fixpoint. Implemented by the event-driven [`PrefixSim`] and
-/// the legacy reference [`crate::sweep::SweepSim`]; the differential tests
-/// and benches are written against this trait. Routes are returned by
-/// value: the event engine stores them compactly and materializes at this
-/// boundary.
-pub trait PropagationEngine {
-    /// Announces (or re-announces) the prefix and runs to fixpoint.
-    fn announce(&mut self, ann: Announcement, at: Timestamp) -> Convergence;
-    /// Withdraws the prefix and runs to fixpoint.
-    fn withdraw(&mut self, at: Timestamp) -> Convergence;
-    /// The selected route at node `x`.
-    fn best(&self, x: NodeIdx) -> Option<Route>;
-    /// The candidate routes AS `x` can currently choose between.
-    fn candidates(&self, x: NodeIdx) -> Vec<Route>;
-    /// Cumulative effort counters.
-    fn stats(&self) -> EngineStats;
-    /// Takes the link between `a` and `b` down (all its sessions, both
-    /// directions) and reconverges. No-op if unknown or already down.
-    fn fail_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence;
-    /// Brings a downed link back up and reconverges. No-op if not down.
-    fn restore_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence;
-    /// Resets the sessions between `a` and `b` (state cleared, immediately
-    /// re-established) and reconverges. No-op if the link is down.
-    fn reset_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence;
-    /// Declares which ASes filter announcements carrying an AS-set
-    /// (poisoned paths, §5). Applies to subsequent events.
-    fn set_poison_filters(&mut self, filters: &std::collections::BTreeSet<Asn>);
-    /// Links currently down, as canonical `(low, high)` ASN pairs.
-    fn downed_links(&self) -> Vec<(Asn, Asn)>;
-}
-
 /// Canonical key for an undirected link between two node indices.
 pub(crate) fn link_key(a: NodeIdx, b: NodeIdx) -> (NodeIdx, NodeIdx) {
     (a.min(b), a.max(b))
@@ -736,61 +704,6 @@ pub(crate) fn overlay_policy<'a>(
         Some(spec) => spec.as_ref(),
         None => world.policy(x),
     }
-}
-
-/// Import-side defense hook: whether `me` accepts path `path` from
-/// `peer`. `None` and empty plans short-circuit to accept — the
-/// undefended fast path, which keeps defense-free simulations
-/// bit-identical to their pre-extension behavior.
-fn defense_accepts_import(
-    defenses: Option<&DefensePlan>,
-    ctx: &SimContext<'_>,
-    me: NodeIdx,
-    peer: NodeIdx,
-    rel: Relationship,
-    prefix: Prefix,
-    path: PathId,
-) -> bool {
-    let Some(plan) = defenses else { return true };
-    if plan.is_empty() {
-        return true;
-    }
-    plan.accepts_import(&ExtensionCheck {
-        world: ctx.world,
-        arena: &ctx.arena,
-        me,
-        peer,
-        rel,
-        prefix,
-        path,
-    })
-}
-
-/// Export-side defense hook: whether `me` lets `path` (prepends included)
-/// out toward `peer`. Same fast-path contract as
-/// [`defense_accepts_import`].
-fn defense_allows_export(
-    defenses: Option<&DefensePlan>,
-    ctx: &SimContext<'_>,
-    me: NodeIdx,
-    peer: NodeIdx,
-    rel: Relationship,
-    prefix: Prefix,
-    path: PathId,
-) -> bool {
-    let Some(plan) = defenses else { return true };
-    if plan.is_empty() {
-        return true;
-    }
-    plan.allows_export(&ExtensionCheck {
-        world: ctx.world,
-        arena: &ctx.arena,
-        me,
-        peer,
-        rel,
-        prefix,
-        path,
-    })
 }
 
 /// Worklist scheduling discipline for [`PrefixSim`].
@@ -1002,7 +915,7 @@ impl<'w> PrefixSim<'w> {
         let seeds = [self.origin_idx.filter(|&old| old != idx), Some(idx)];
         self.origin_idx = Some(idx);
         self.announcement = Some(ann);
-        self.run_event(seeds)
+        self.run_event(seeds, 0)
     }
 
     /// Withdraws the prefix and runs to fixpoint.
@@ -1011,7 +924,7 @@ impl<'w> PrefixSim<'w> {
         self.clock = at;
         self.announcement = None;
         let seeds = [self.origin_idx.take(), None];
-        self.run_event(seeds)
+        self.run_event(seeds, 0)
     }
 
     /// Injects an adversarial origination and runs to fixpoint: `attacker`
@@ -1044,7 +957,7 @@ impl<'w> PrefixSim<'w> {
             at,
         };
         self.extra_origins.insert(idx, origin);
-        self.run_event([Some(idx), None])
+        self.run_event([Some(idx), None], 0)
     }
 
     /// Withdraws `attacker`'s adversarial origination
@@ -1060,7 +973,7 @@ impl<'w> PrefixSim<'w> {
             return NO_OP_CONVERGENCE;
         }
         self.clock = at;
-        self.run_event([Some(idx), None])
+        self.run_event([Some(idx), None], 0)
     }
 
     /// Installs (or clears) the per-AS [`DefensePlan`] consulted on the
@@ -1086,7 +999,7 @@ impl<'w> PrefixSim<'w> {
         self.stats.recovery_events += 1;
         let torn = self.tear_sessions(key);
         self.stats.sessions_torn += torn;
-        self.run_recovery(key)
+        self.run_recovery(key, 0)
     }
 
     /// Brings a downed link back up: both endpoints re-export their best
@@ -1103,14 +1016,7 @@ impl<'w> PrefixSim<'w> {
         }
         self.stats.recovery_events += 1;
         let imports = self.reestablish_sessions(key);
-        self.stats.imports += imports;
-        // The RIB-exchange imports belong to *this* event: fold them into
-        // the returned per-event counters (the cumulative stats above
-        // already have them exactly once), so per-event sums equal
-        // cumulative deltas and DeltaStats never double-counts.
-        let mut conv = self.run_recovery(key);
-        conv.imports += imports;
-        conv
+        self.run_recovery(key, imports)
     }
 
     /// Resets the sessions between `a` and `b`: state is cleared and the
@@ -1130,11 +1036,7 @@ impl<'w> PrefixSim<'w> {
         let torn = self.tear_sessions(key);
         self.stats.sessions_torn += torn;
         let imports = self.reestablish_sessions(key);
-        self.stats.imports += imports;
-        // As in `restore_link`: per-event counters include the re-exchange.
-        let mut conv = self.run_recovery(key);
-        conv.imports += imports;
-        conv
+        self.run_recovery(key, imports)
     }
 
     /// Applies one scheduled fault event.
@@ -1266,11 +1168,12 @@ impl<'w> PrefixSim<'w> {
         let mut spec = overlay_policy(self.ctx.world, &self.overlay, x).clone();
         edit(&mut spec);
         self.overlay.insert(x, Arc::new(spec));
-        let imports = if import_side { self.rederive_rib(x) } else { 0 };
-        self.stats.imports += imports;
-        let mut conv = self.run_event([Some(x), None]);
-        conv.imports += imports;
-        conv
+        let imports = if import_side {
+            self.rederive_rib(x, None)
+        } else {
+            0
+        };
+        self.run_event([Some(x), None], imports)
     }
 
     /// [`Delta::PoisonFilter`]: toggles AS-set filtering at one AS and
@@ -1290,92 +1193,32 @@ impl<'w> PrefixSim<'w> {
         if !changed {
             return NO_OP_CONVERGENCE;
         }
-        let imports = self.rederive_rib(x);
-        self.stats.imports += imports;
-        let mut conv = self.run_event([Some(x), None]);
-        conv.imports += imports;
-        conv
+        let imports = self.rederive_rib(x, None);
+        self.run_event([Some(x), None], imports)
     }
 
-    /// Recomputes `x`'s entire adj-RIB-in from its neighbors' current best
-    /// routes under the *current* (post-edit) policies. Sound at any
-    /// converged point because the engine maintains the invariant
+    /// Recomputes `x`'s adj-RIB-in — every session, or only the sessions to
+    /// `peer` when given — from its neighbors' current best routes under
+    /// the *current* (post-edit) policies. Sound at any converged point
+    /// because the engine maintains the invariant
     /// `rib[x][si] == import(export(peer's best))` for live sessions — the
     /// stored entries are a pure function of state this pass re-reads.
     /// Returns import evaluations performed.
-    fn rederive_rib(&mut self, x: NodeIdx) -> usize {
+    fn rederive_rib(&mut self, x: NodeIdx, peer: Option<NodeIdx>) -> usize {
         let mut imports = 0;
-        let PrefixSim {
-            ctx,
-            prefix,
-            announcement,
-            origin_idx,
-            best,
-            rib,
-            downed,
-            poison_filters,
-            defenses,
-            overlay,
-            clock,
-            ..
-        } = self;
-        let age = clamp_age(*clock);
-        let policy_x = overlay_policy(ctx.world, overlay, x);
-        let base = ctx.rib_base(x);
-        for (si, s) in ctx.sessions(x).iter().enumerate() {
-            let peer = s.peer;
-            let link_up = downed.is_empty() || !downed.contains(&link_key(x, peer));
-            let imported = if link_up {
-                best.get(peer)
-                    .as_ref()
-                    .and_then(|b| {
-                        let policy_peer = overlay_policy(ctx.world, overlay, peer);
-                        // `via` restrictions are the primary origin's alone.
-                        let ann = if *origin_idx == Some(peer) {
-                            announcement.as_ref()
-                        } else {
-                            None
-                        };
-                        ctx.export_compact(peer, policy_peer, x, s, b, *prefix, ann)
-                    })
-                    .filter(|&p| {
-                        defense_allows_export(
-                            defenses.as_deref(),
-                            ctx,
-                            peer,
-                            x,
-                            s.rel.reverse(),
-                            *prefix,
-                            p,
-                        )
-                    })
-                    .and_then(|p| {
-                        imports += 1;
-                        if !poison_filters.is_empty()
-                            && poison_filters.contains(&x)
-                            && ctx.arena.has_set(p)
-                        {
-                            return None;
-                        }
-                        if !defense_accepts_import(
-                            defenses.as_deref(),
-                            ctx,
-                            x,
-                            peer,
-                            s.rel,
-                            *prefix,
-                            p,
-                        ) {
-                            return None;
-                        }
-                        ctx.engine.import_compact(
-                            policy_x, &ctx.arena, x, peer, s.city, s.rel, s.kind, p, s.igp, age,
-                        )
-                    })
-            } else {
-                None
-            };
-            rib.set(base + si, imported);
+        let base = self.ctx.rib_base(x);
+        for (si, s) in self.ctx.sessions(x).iter().enumerate() {
+            if peer.is_some_and(|p| p != s.peer) {
+                continue;
+            }
+            let policy = overlay_policy(self.ctx.world, &self.overlay, s.peer);
+            let entry = self
+                .export_half(s.peer, self.best.get(s.peer).as_ref(), policy, x, s)
+                .and_then(|p| {
+                    imports += 1;
+                    self.import_half(s.peer, x, s, p)
+                });
+            self.rib.set(base + si, entry);
         }
         imports
     }
@@ -1435,83 +1278,13 @@ impl<'w> PrefixSim<'w> {
     /// its neighbor's export arrives, and a configuration with multiple
     /// stable states could land in a different equilibrium than the
     /// pull-model sweep oracle. Returns import evaluations performed.
-    fn reestablish_sessions(&mut self, key: (NodeIdx, NodeIdx)) -> usize {
-        let mut imports = 0;
-        let PrefixSim {
-            ctx,
-            prefix,
-            announcement,
-            origin_idx,
-            best,
-            rib,
-            poison_filters,
-            defenses,
-            overlay,
-            clock,
-            ..
-        } = self;
-        let age = clamp_age(*clock);
-        for (x, l) in [(key.0, key.1), (key.1, key.0)] {
-            let best_x = best.get(x);
-            let policy_x = overlay_policy(ctx.world, overlay, x);
-            let policy_l = overlay_policy(ctx.world, overlay, l);
-            // `via` restrictions are the primary origin's alone.
-            let ann = if *origin_idx == Some(x) {
-                announcement.as_ref()
-            } else {
-                None
-            };
-            let base = ctx.rib_base(l);
-            for (si, s) in ctx.sessions(l).iter().enumerate() {
-                if s.peer != x {
-                    continue;
-                }
-                let imported = best_x
-                    .as_ref()
-                    .and_then(|b| ctx.export_compact(x, policy_x, l, s, b, *prefix, ann))
-                    .filter(|&p| {
-                        defense_allows_export(
-                            defenses.as_deref(),
-                            ctx,
-                            x,
-                            l,
-                            s.rel.reverse(),
-                            *prefix,
-                            p,
-                        )
-                    })
-                    .and_then(|p| {
-                        imports += 1;
-                        if !poison_filters.is_empty()
-                            && poison_filters.contains(&l)
-                            && ctx.arena.has_set(p)
-                        {
-                            return None;
-                        }
-                        if !defense_accepts_import(
-                            defenses.as_deref(),
-                            ctx,
-                            l,
-                            x,
-                            s.rel,
-                            *prefix,
-                            p,
-                        ) {
-                            return None;
-                        }
-                        ctx.engine.import_compact(
-                            policy_l, &ctx.arena, l, x, s.city, s.rel, s.kind, p, s.igp, age,
-                        )
-                    });
-                rib.set(base + si, imported);
-            }
-        }
-        imports
+    fn reestablish_sessions(&mut self, (a, b): (NodeIdx, NodeIdx)) -> usize {
+        self.rederive_rib(b, Some(a)) + self.rederive_rib(a, Some(b))
     }
 
     /// Runs a fault-seeded reconvergence, accounting rounds as recovery.
-    fn run_recovery(&mut self, key: (NodeIdx, NodeIdx)) -> Convergence {
-        let conv = self.run_event([Some(key.0), Some(key.1)]);
+    fn run_recovery(&mut self, key: (NodeIdx, NodeIdx), refreshed: usize) -> Convergence {
+        let conv = self.run_event([Some(key.0), Some(key.1)], refreshed);
         self.stats.recovery_rounds += conv.rounds;
         conv
     }
@@ -1555,6 +1328,12 @@ impl<'w> PrefixSim<'w> {
     /// endpoints on a fault). Seeded nodes re-export once unconditionally
     /// even if their selection is unchanged: a re-announcement can change
     /// the origin's export policy (`via`) without changing its local route.
+    /// `refreshed` counts the imports the caller already spent refreshing
+    /// adj-RIB-in entries ahead of the worklist (a session's RIB exchange,
+    /// a re-derivation after an import-side edit). They belong to this
+    /// event, so they enter its counters and the cumulative stats exactly
+    /// once: per-event sums equal cumulative deltas, and
+    /// [`crate::whatif::DeltaStats`] never double-counts.
     ///
     /// The worklist is wave-structured to replicate the Gauss–Seidel
     /// schedule of the reference sweep engine exactly: within a wave,
@@ -1572,7 +1351,7 @@ impl<'w> PrefixSim<'w> {
     /// across events: a generation bump (not a word-array clear) hides
     /// whatever a capped previous event left behind, so an abandoned wave
     /// can never leak seeds into a later `run_recovery`.
-    fn run_event(&mut self, seeds: [Option<NodeIdx>; 2]) -> Convergence {
+    fn run_event(&mut self, seeds: [Option<NodeIdx>; 2], refreshed: usize) -> Convergence {
         self.stats.events += 1;
         self.stats.ases_seeded += seeds.iter().flatten().count();
         let n = self.ctx.world.graph.len();
@@ -1594,7 +1373,7 @@ impl<'w> PrefixSim<'w> {
         let mut pre_event: BTreeMap<NodeIdx, Option<CompactRoute>> = BTreeMap::new();
         let mut rounds = 0usize;
         let mut activations = 0usize;
-        let mut imports = 0usize;
+        let mut imports = refreshed;
         let mut converged = true;
         // Deadline machinery, hoisted: the unlimited default costs one
         // branch per activation and never takes it.
@@ -1733,6 +1512,132 @@ impl<'w> PrefixSim<'w> {
         Some(winner)
     }
 
+    /// Export half of the session-transfer step: the path `from` sends `to`
+    /// over `s` (the session as `to` holds it, so `s.peer == from`), given
+    /// `from`'s best route and resolved policy, or `None` if nothing
+    /// crosses. In order: a downed link carries nothing; Gao–Rexford export
+    /// with the spec's deviations and prepends
+    /// ([`SimContext::export_compact`]); `from`'s export-side defenses.
+    // Both halves run once per listener in `push_exports`, the engine's
+    // inner loop, so they are inlined there.
+    #[inline]
+    fn export_half(
+        &self,
+        from: NodeIdx,
+        from_best: Option<&CompactRoute>,
+        from_policy: &PolicySpec,
+        to: NodeIdx,
+        s: &Session,
+    ) -> Option<PathId> {
+        if !self.downed.is_empty() && self.downed.contains(&link_key(from, to)) {
+            return None;
+        }
+        // The announcement's export restrictions (`via`) belong to the
+        // primary origin alone: an adversarial extra origination exports
+        // to all neighbors.
+        let ann = if self.origin_idx == Some(from) {
+            self.announcement.as_ref()
+        } else {
+            None
+        };
+        let p = self
+            .ctx
+            .export_compact(from, from_policy, to, s, from_best?, self.prefix, ann)?;
+        self.defense_allows_export(from, to, s.rel.reverse(), p)
+            .then_some(p)
+    }
+
+    /// Import half of the session-transfer step: the adj-RIB-in entry `to`
+    /// derives from path `p` received from `from` over `s`, or `None` if
+    /// `to` drops it. In order: the poison (AS-set) filter, §5; `to`'s
+    /// import-side defenses; Gao–Rexford import (loop prevention,
+    /// local-pref) under `to`'s resolved policy, stamped with the clock.
+    #[inline]
+    fn import_half(
+        &self,
+        from: NodeIdx,
+        to: NodeIdx,
+        s: &Session,
+        p: PathId,
+    ) -> Option<CompactRoute> {
+        if !self.poison_filters.is_empty()
+            && self.poison_filters.contains(&to)
+            && self.ctx.arena.has_set(p)
+        {
+            return None;
+        }
+        if !self.defense_accepts_import(to, from, s.rel, p) {
+            return None;
+        }
+        self.ctx.engine.import_compact(
+            overlay_policy(self.ctx.world, &self.overlay, to),
+            &self.ctx.arena,
+            to,
+            from,
+            s.city,
+            s.rel,
+            s.kind,
+            p,
+            s.igp,
+            clamp_age(self.clock),
+        )
+    }
+
+    /// Import-side defense hook: whether `me` accepts `path` from `peer`
+    /// (`rel` = `peer` as seen from `me`). No plan, or an empty one,
+    /// accepts — the undefended fast path, which keeps defense-free
+    /// simulations bit-identical to their pre-extension behavior.
+    fn defense_accepts_import(
+        &self,
+        me: NodeIdx,
+        peer: NodeIdx,
+        rel: Relationship,
+        path: PathId,
+    ) -> bool {
+        match self.defenses.as_deref() {
+            Some(plan) if !plan.is_empty() => {
+                plan.accepts_import(&self.extension_check(me, peer, rel, path))
+            }
+            _ => true,
+        }
+    }
+
+    /// Export-side defense hook: whether `me` lets `path` (prepends
+    /// included) out toward `peer`. Same fast path as
+    /// [`PrefixSim::defense_accepts_import`].
+    fn defense_allows_export(
+        &self,
+        me: NodeIdx,
+        peer: NodeIdx,
+        rel: Relationship,
+        path: PathId,
+    ) -> bool {
+        match self.defenses.as_deref() {
+            Some(plan) if !plan.is_empty() => {
+                plan.allows_export(&self.extension_check(me, peer, rel, path))
+            }
+            _ => true,
+        }
+    }
+
+    fn extension_check(
+        &self,
+        me: NodeIdx,
+        peer: NodeIdx,
+        rel: Relationship,
+        path: PathId,
+    ) -> ExtensionCheck<'_> {
+        ExtensionCheck {
+            world: self.ctx.world,
+            arena: &self.ctx.arena,
+            me,
+            peer,
+            rel,
+            prefix: self.prefix,
+            path,
+        }
+    }
+
     /// Re-exports `x`'s current best over every session importing from `x`,
     /// refreshing the listeners' adj-RIB-in entries and activating exactly
     /// the listeners whose entry changed — into the current wave when
@@ -1745,61 +1650,18 @@ impl<'w> PrefixSim<'w> {
         next: &mut BitWorklist,
     ) -> usize {
         let mut imports = 0;
-        let PrefixSim {
-            ctx,
-            prefix,
-            order,
-            announcement,
-            origin_idx,
-            best,
-            rib,
-            downed,
-            poison_filters,
-            defenses,
-            overlay,
-            clock,
-            ..
-        } = self;
-        let free = *order == ActivationOrder::Free;
-        // The announcement's export restrictions (`via`) belong to the
-        // primary origin alone: an adversarial extra origination exports
-        // to all neighbors.
-        let ann = if *origin_idx == Some(x) {
-            announcement.as_ref()
-        } else {
-            None
-        };
-        let best_x = best.get(x);
-        let policy_x = overlay_policy(ctx.world, overlay, x);
-        let age = clamp_age(*clock);
-        for &(l, rib_idx) in ctx.listeners(x) {
+        let free = self.order == ActivationOrder::Free;
+        let best_x = self.best.get(x);
+        let policy_x = overlay_policy(self.ctx.world, &self.overlay, x);
+        for &(l, rib_idx) in self.ctx.listeners(x) {
             let (l, rib_idx) = (l as usize, rib_idx as usize);
-            let s = ctx.session_at(rib_idx);
-            // A downed link carries nothing in either direction.
-            let link_up = downed.is_empty() || !downed.contains(&link_key(x, l));
-            let exported = if link_up {
-                best_x
-                    .as_ref()
-                    .and_then(|b| ctx.export_compact(x, policy_x, l, s, b, *prefix, ann))
-                    .filter(|&p| {
-                        defense_allows_export(
-                            defenses.as_deref(),
-                            ctx,
-                            x,
-                            l,
-                            s.rel.reverse(),
-                            *prefix,
-                            p,
-                        )
-                    })
-            } else {
-                None
-            };
+            let s = self.ctx.session_at(rib_idx);
+            let exported = self.export_half(x, best_x.as_ref(), policy_x, l, s);
             // An unchanged exported path implies an unchanged import: every
             // other route attribute is a deterministic function of the
             // session and the path (ages are re-stamped at selection).
             // Equal paths ⇔ equal handles, so this is one u32 compare.
-            let entry_pid = rib.path_id(rib_idx);
+            let entry_pid = self.rib.path_id(rib_idx);
             let unchanged = match exported {
                 None => entry_pid.is_empty(),
                 Some(p) => p == entry_pid,
@@ -1809,34 +1671,14 @@ impl<'w> PrefixSim<'w> {
             }
             let imported = exported.and_then(|p| {
                 imports += 1;
-                // Fault-injected filtering: this AS drops poisoned
-                // (AS-set-carrying) announcements outright, §5.
-                if !poison_filters.is_empty() && poison_filters.contains(&l) && ctx.arena.has_set(p)
-                {
-                    return None;
-                }
-                if !defense_accepts_import(defenses.as_deref(), ctx, l, x, s.rel, *prefix, p) {
-                    return None;
-                }
-                ctx.engine.import_compact(
-                    overlay_policy(ctx.world, overlay, l),
-                    &ctx.arena,
-                    l,
-                    x,
-                    s.city,
-                    s.rel,
-                    s.kind,
-                    p,
-                    s.igp,
-                    age,
-                )
+                self.import_half(x, l, s, p)
             });
             // The export changed but the import verdict didn't: nothing for
             // the listener to react to.
-            if imported.is_none() && !rib.is_some(rib_idx) {
+            if imported.is_none() && !self.rib.is_some(rib_idx) {
                 continue;
             }
-            rib.set(rib_idx, imported);
+            self.rib.set(rib_idx, imported);
             if free || l > x {
                 // Free order: no wave barrier, the current worklist takes
                 // every activation (sound only under a unique fixpoint).
@@ -1979,7 +1821,7 @@ impl<'w> PrefixSim<'w> {
             }
         }
         for x in 0..n {
-            sim.rederive_rib(x);
+            sim.rederive_rib(x, None);
         }
         sim
     }
@@ -2010,39 +1852,6 @@ impl<'w> PrefixSim<'w> {
             self.ctx.arena.stats(),
         );
         stats
-    }
-}
-
-impl PropagationEngine for PrefixSim<'_> {
-    fn announce(&mut self, ann: Announcement, at: Timestamp) -> Convergence {
-        PrefixSim::announce(self, ann, at)
-    }
-    fn withdraw(&mut self, at: Timestamp) -> Convergence {
-        PrefixSim::withdraw(self, at)
-    }
-    fn best(&self, x: NodeIdx) -> Option<Route> {
-        PrefixSim::best(self, x)
-    }
-    fn candidates(&self, x: NodeIdx) -> Vec<Route> {
-        PrefixSim::candidates(self, x)
-    }
-    fn stats(&self) -> EngineStats {
-        PrefixSim::stats(self)
-    }
-    fn fail_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence {
-        PrefixSim::fail_link(self, a, b, at)
-    }
-    fn restore_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence {
-        PrefixSim::restore_link(self, a, b, at)
-    }
-    fn reset_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence {
-        PrefixSim::reset_link(self, a, b, at)
-    }
-    fn set_poison_filters(&mut self, filters: &BTreeSet<Asn>) {
-        PrefixSim::set_poison_filters(self, filters.iter().copied())
-    }
-    fn downed_links(&self) -> Vec<(Asn, Asn)> {
-        PrefixSim::downed_links(self)
     }
 }
 
@@ -2369,6 +2178,98 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Test-only defense with a bite on both sides: rejects imports whose
+    /// first hop's ASN is 5 mod 13, and withholds every route on sessions
+    /// whose two ASNs sum to 1 mod 11.
+    struct Picky;
+    impl crate::extension::PolicyExtension for Picky {
+        fn name(&self) -> &'static str {
+            "picky"
+        }
+        fn accept_import(&self, check: &ExtensionCheck<'_>) -> bool {
+            check.first_asn().is_none_or(|a| a.value() % 13 != 5)
+        }
+        fn allow_export(&self, check: &ExtensionCheck<'_>) -> bool {
+            (check.me_asn().value() + check.peer_asn().value()) % 11 != 1
+        }
+    }
+
+    #[test]
+    fn converged_rib_is_import_of_export_of_peer_best() {
+        let w = world();
+        let n = w.graph.len();
+        let (origin, prefix) = some_origin(&w);
+        let origin_idx = w.graph.index_of(origin).unwrap();
+        let mut plan = DefensePlan::for_world(&w);
+        let id = plan.register(Arc::new(Picky)).unwrap();
+        for x in (0..n).step_by(2) {
+            plan.adopt(x, id);
+        }
+        let mut sim = PrefixSim::new(&w, prefix);
+        sim.set_defenses(Some(Arc::new(plan)));
+        let filters: Vec<Asn> = (0..n)
+            .filter(|x| x % 7 == 3)
+            .map(|x| w.graph.asn(x))
+            .collect();
+        sim.set_poison_filters(filters.iter().copied());
+        assert!(
+            sim.announce(Announcement::plain(origin, prefix), Timestamp::ZERO)
+                .converged
+        );
+        // A poisoned hijack gives the poison filters AS-sets to drop.
+        let attacker = w.graph.asn(n - 1);
+        assert_ne!(attacker, origin);
+        let hijack = sim.hijack(attacker, None, &filters[..1], false, Timestamp(30));
+        assert!(hijack.converged);
+        // An export-side overlay edit at the origin…
+        let provider = w.graph.providers(origin_idx).next().unwrap();
+        let prepend = Delta::ExportPrepend {
+            of: origin,
+            neighbor: w.graph.asn(provider),
+            count: Some(3),
+        };
+        assert!(sim.apply_delta(&prepend, Timestamp(60)).converged);
+        assert!(sim.overlay.contains_key(&origin_idx));
+        // …and one downed link: the AS with the most alternatives loses
+        // its next hop.
+        let x = (0..n)
+            .filter(|&x| sim.next_hop(x).is_some_and(|(nh, _)| nh != origin_idx))
+            .max_by_key(|&x| sim.candidates(x).len())
+            .unwrap();
+        let (nh, _) = sim.next_hop(x).unwrap();
+        let conv = sim.fail_link(w.graph.asn(x), w.graph.asn(nh), Timestamp(120));
+        assert!(conv.converged && conv.imports > 0, "{conv:?}");
+        let routed = (0..n).filter(|&y| sim.best.get(y).is_some()).count();
+        assert!(2 * routed > n, "only {routed}/{n} ASes routed");
+
+        // Stored ages are stale by design (selection re-stamps them), so
+        // slots compare with the age blanked.
+        let unaged = |r: Option<CompactRoute>| r.map(|r| CompactRoute { age: 0, ..r });
+        let before = sim.rib.clone();
+        let imports: usize = (0..n).map(|x| sim.rederive_rib(x, None)).sum();
+        assert!(imports > 0);
+        for i in 0..sim.ctx.total_sessions() {
+            assert_eq!(
+                unaged(sim.rib.get(i)),
+                unaged(before.get(i)),
+                "rib slot {i}"
+            );
+        }
+
+        // Resetting a defended AS's route-carrying link re-derives its
+        // sessions from the same invariant: nothing moves, ages included.
+        let (x, (peer, _)) = (0..n)
+            .step_by(2)
+            .find_map(|x| Some((x, sim.next_hop(x)?)))
+            .unwrap();
+        let best: Vec<Option<Route>> = (0..n).map(|x| sim.best(x)).collect();
+        let conv = sim.reset_link(w.graph.asn(x), w.graph.asn(peer), Timestamp(180));
+        assert!(conv.converged && conv.imports > 0);
+        for (y, route) in best.iter().enumerate() {
+            assert_eq!(&sim.best(y), route, "best at {}", w.graph.asn(y));
         }
     }
 

@@ -7,12 +7,13 @@
 //! is what the data plane's forwarding walk and the collectors' BGP feeds
 //! both consume.
 //!
-//! [`RoutingUniverse::compute_with_faults`] additionally replays a
+//! [`RoutingUniverse::compute_with_faults_ordered`] additionally replays a
 //! [`FaultPlane`]'s timed schedule (link flaps, session resets) against
 //! every prefix after the initial announcement, and applies its poison
-//! filters — the control-plane half of the chaos layer. A quiet plane takes
-//! the exact unfaulted code path, so zero-rate configs are bit-identical
-//! to [`RoutingUniverse::compute`].
+//! filters — the control-plane half of the chaos layer. The unfaulted
+//! constructors run the same loop under [`FaultPlane::quiet`], which
+//! selects no filters and schedules nothing, so zero-rate configs are
+//! bit-identical to [`RoutingUniverse::compute`].
 //!
 //! **Cross-prefix batching.** The decision process, import/export policy,
 //! and fault schedule never look at prefix *bits*: the only prefix-sensitive
@@ -201,7 +202,7 @@ impl RoutingUniverse {
         prefixes: &[Prefix],
         order: ActivationOrder,
     ) -> RoutingUniverse {
-        Self::compute_ordered_impl(world, prefixes, order, true)
+        Self::compute_impl(world, prefixes, &FaultPlane::quiet(), order, true)
     }
 
     /// [`RoutingUniverse::compute_ordered`] without cross-prefix batching:
@@ -212,69 +213,22 @@ impl RoutingUniverse {
         prefixes: &[Prefix],
         order: ActivationOrder,
     ) -> RoutingUniverse {
-        Self::compute_ordered_impl(world, prefixes, order, false)
-    }
-
-    fn compute_ordered_impl(
-        world: &World,
-        prefixes: &[Prefix],
-        order: ActivationOrder,
-        batch: bool,
-    ) -> RoutingUniverse {
-        let owners = prefix_owners(world);
-        // One session table + policy engine for the whole batch; each
-        // per-shape sim forks the context — shared CSR topology, private
-        // path arena — so parallel shapes never contend on interning, and
-        // the retained table (re-interned at extraction) holds only the
-        // routes that survived convergence.
-        let ctx = SimContext::shared(world);
-        let groups = shape_groups(world, prefixes, &owners, batch);
-        let per_shape: Vec<(Vec<PrefixResult>, EngineStats)> = groups
-            .par_iter()
-            .map(|(origin, members)| {
-                let rep = members[0];
-                let mut sim = PrefixSim::with_context_ordered(ctx.fork(), rep, order);
-                let conv = sim.announce(Announcement::plain(*origin, rep), Timestamp::ZERO);
-                let table = Arc::new(sim.extract_table());
-                (
-                    fan_out(*origin, members, table, conv.converged),
-                    sim.stats(),
-                )
-            })
-            .collect();
-        let mut stats = EngineStats::default();
-        let mut results = Vec::with_capacity(prefixes.len());
-        for (shape_results, shape_stats) in per_shape {
-            stats.absorb(&shape_stats);
-            stats.shapes_computed += 1;
-            stats.prefixes_shared += shape_results.len() - 1;
-            results.extend(shape_results);
-        }
-        Self::assemble(world, results, UniverseResilience::default(), stats)
+        Self::compute_impl(world, prefixes, &FaultPlane::quiet(), order, false)
     }
 
     /// Converges the given prefixes under a fault plane: poison-filtering
     /// ASes are sampled from the plane, and after the t=0 announcement the
     /// plane's timed schedule (link flaps, session resets) is replayed
-    /// against every prefix. A quiet plane delegates to
-    /// [`RoutingUniverse::compute`] — bit-identical output.
-    pub fn compute_with_faults(
-        world: &World,
-        prefixes: &[Prefix],
-        plane: &FaultPlane,
-    ) -> RoutingUniverse {
-        Self::compute_with_faults_ordered(world, prefixes, plane, ActivationOrder::default())
-    }
-
-    /// [`RoutingUniverse::compute_with_faults`] with an explicit engine
-    /// scheduling discipline (see [`RoutingUniverse::compute_ordered`]).
+    /// against every prefix. The scheduling discipline is as for
+    /// [`RoutingUniverse::compute_ordered`]; a quiet plane gives
+    /// bit-identical output to it.
     pub fn compute_with_faults_ordered(
         world: &World,
         prefixes: &[Prefix],
         plane: &FaultPlane,
         order: ActivationOrder,
     ) -> RoutingUniverse {
-        Self::compute_with_faults_impl(world, prefixes, plane, order, true)
+        Self::compute_impl(world, prefixes, plane, order, true)
     }
 
     /// [`RoutingUniverse::compute_with_faults_ordered`] without cross-prefix
@@ -285,20 +239,22 @@ impl RoutingUniverse {
         plane: &FaultPlane,
         order: ActivationOrder,
     ) -> RoutingUniverse {
-        Self::compute_with_faults_impl(world, prefixes, plane, order, false)
+        Self::compute_impl(world, prefixes, plane, order, false)
     }
 
-    fn compute_with_faults_impl(
+    fn compute_impl(
         world: &World,
         prefixes: &[Prefix],
         plane: &FaultPlane,
         order: ActivationOrder,
         batch: bool,
     ) -> RoutingUniverse {
-        if plane.is_quiet() {
-            return Self::compute_ordered_impl(world, prefixes, order, batch);
-        }
         let owners = prefix_owners(world);
+        // One session table + policy engine for the whole batch; each
+        // per-shape sim forks the context — shared CSR topology, private
+        // path arena — so parallel shapes never contend on interning, and
+        // the retained table (re-interned at extraction) holds only the
+        // routes that survived convergence.
         let ctx = SimContext::shared(world);
         let filters: Vec<Asn> = world
             .graph
@@ -392,14 +348,9 @@ impl RoutingUniverse {
         Self::compute(world, &prefixes)
     }
 
-    /// [`RoutingUniverse::compute_all`] under a fault plane.
-    pub fn compute_all_with_faults(world: &World, plane: &FaultPlane) -> RoutingUniverse {
-        let prefixes: Vec<Prefix> = prefix_owners(world).keys().copied().collect();
-        Self::compute_with_faults(world, &prefixes, plane)
-    }
-
-    /// [`RoutingUniverse::compute_all_with_faults`] with an explicit engine
-    /// scheduling discipline (see [`RoutingUniverse::compute_ordered`]).
+    /// [`RoutingUniverse::compute_all`] under a fault plane, with an
+    /// explicit engine scheduling discipline (see
+    /// [`RoutingUniverse::compute_ordered`]).
     pub fn compute_all_with_faults_ordered(
         world: &World,
         plane: &FaultPlane,
@@ -964,18 +915,33 @@ mod tests {
     }
 
     #[test]
-    fn quiet_fault_plane_is_bit_identical_to_plain_compute() {
+    fn measurement_only_fault_plane_is_bit_identical_to_plain_compute() {
         let w = GeneratorConfig::tiny().build(5);
         let owners = prefix_owners(&w);
         let ps: Vec<Prefix> = owners.keys().copied().take(10).collect();
         let plain = RoutingUniverse::compute(&w, &ps);
-        let quiet = RoutingUniverse::compute_with_faults(&w, &ps, &FaultPlane::quiet());
+        // Not quiet, but no control-plane fault: no poison filter is
+        // selected and nothing is scheduled.
+        let cfg = FaultConfig {
+            probe_dropout: 0.5,
+            feed_gap: 0.5,
+            ..FaultConfig::quiet()
+        };
+        let plane = FaultPlane::new(cfg, 11);
+        assert!(!plane.is_quiet());
+        let faulted = RoutingUniverse::compute_with_faults_ordered(
+            &w,
+            &ps,
+            &plane,
+            ActivationOrder::WaveExact,
+        );
         for p in &ps {
             for x in 0..w.graph.len() {
-                assert_eq!(plain.route(*p, x), quiet.route(*p, x));
+                assert_eq!(plain.route(*p, x), faulted.route(*p, x));
             }
         }
-        assert_eq!(quiet.resilience(), UniverseResilience::default());
+        assert_eq!(faulted.resilience(), UniverseResilience::default());
+        assert_eq!(faulted.engine_stats(), plain.engine_stats());
     }
 
     #[test]
@@ -996,7 +962,12 @@ mod tests {
             ir_types::Timestamp(60),
             ir_fault::FaultEvent::LinkDown { a, b },
         );
-        let u = RoutingUniverse::compute_with_faults(&w, &ps, &plane);
+        let u = RoutingUniverse::compute_with_faults_ordered(
+            &w,
+            &ps,
+            &plane,
+            ActivationOrder::WaveExact,
+        );
         let r = u.resilience();
         assert_eq!(r.fault_events, ps.len(), "one fault per prefix");
         assert_eq!(r.links_down_at_end, 1);

@@ -26,8 +26,7 @@
 use crate::extension::DefensePlan;
 use crate::route::Route;
 use crate::sim::{
-    ActivationOrder, Announcement, Convergence, Delta, PrefixSim, ShapeTable, SimContext,
-    StepBudget,
+    ActivationOrder, Announcement, Delta, PrefixSim, ShapeTable, SimContext, StepBudget,
 };
 use crate::universe::{prefix_owners, shape_groups, RoutingUniverse, UniverseResilience};
 use ir_topology::graph::NodeIdx;
@@ -607,24 +606,6 @@ impl<'w> WhatIfEngine<'w> {
     pub fn base_converged(&self) -> bool {
         self.shapes.iter().all(|s| s.converged)
     }
-}
-
-/// Summed [`Convergence`] over an edit sequence — cold-side bookkeeping
-/// for speedup comparisons (warm side comes from [`DeltaStats`]).
-pub fn sum_convergence(convs: &[Convergence]) -> Convergence {
-    let mut total = Convergence {
-        rounds: 0,
-        converged: true,
-        activations: 0,
-        imports: 0,
-    };
-    for c in convs {
-        total.rounds += c.rounds;
-        total.activations += c.activations;
-        total.imports += c.imports;
-        total.converged &= c.converged;
-    }
-    total
 }
 
 #[cfg(test)]

@@ -529,9 +529,8 @@ mod proptests {
                         pair.withdraw(at, &format!("{label}: pre-filter withdraw"));
                         let filters: BTreeSet<Asn> =
                             [w.graph.asn(arg % n)].into_iter().collect();
-                        use ir_bgp::PropagationEngine;
-                        PropagationEngine::set_poison_filters(&mut pair.event, &filters);
-                        PropagationEngine::set_poison_filters(&mut pair.sweep, &filters);
+                        pair.event.set_poison_filters(filters.iter().copied());
+                        pair.sweep.set_poison_filters(filters.iter().copied());
                     }
                 }
             }

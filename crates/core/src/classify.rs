@@ -7,9 +7,7 @@
 //! valley-free path the model predicts. (Measured paths can be *shorter*
 //! than the model's shortest when they use links the inferred topology
 //! does not know; we count those as Short — the AS is certainly not taking
-//! a longer-than-necessary path. The strict-equality variant is available
-//! behind [`ClassifyConfig::strict_short`] and is examined in an ablation
-//! bench.)
+//! a longer-than-necessary path.)
 //!
 //! The classifier layers the paper's refinements (§4.1–4.3) over the plain
 //! model:
@@ -121,8 +119,6 @@ pub struct ClassifyConfig<'a> {
     pub siblings: Option<&'a SiblingGroups>,
     /// PSP criterion plus the feed providing the evidence.
     pub psp: Option<(PspCriterion, &'a BgpFeed)>,
-    /// Require exact length equality for Short (ablation knob).
-    pub strict_short: bool,
 }
 
 /// Full classification result for one decision.
@@ -316,7 +312,6 @@ impl<'a> Classifier<'a> {
     pub fn classify(&self, d: &Decision) -> Verdict {
         let used_rel = self.effective_rel(d);
         let used_class = used_rel.map(RouteClass::of_rel);
-        let strict = self.cfg.strict_short;
         let routes = self.routes(d.dest, d.prefix);
         let best_class = routes.best_class(d.observer);
         let model_shortest = routes.shortest_any(d.observer);
@@ -332,16 +327,7 @@ impl<'a> Classifier<'a> {
             // means the model predicts nothing this path could match.
             _ => false,
         };
-        let short = match model_shortest {
-            Some(m) => {
-                if strict {
-                    d.suffix_len == m
-                } else {
-                    d.suffix_len <= m
-                }
-            }
-            None => false,
-        };
+        let short = model_shortest.is_some_and(|m| d.suffix_len <= m);
         Verdict {
             category: Category::of(best, short),
             used_class,
@@ -498,20 +484,8 @@ mod tests {
         let v = c.classify(&decision(3, 4, 5, 2));
         assert!(v.used_class.is_none());
         assert!(!v.category.is_best());
-        // Measured length 2 beats the model's 3 → Short by default...
+        // Measured length 2 beats the model's 3 → Short.
         assert_eq!(v.category, Category::NonBestShort);
-        // ...but Long under the strict ablation.
-        let strict = Classifier::new(
-            &db,
-            ClassifyConfig {
-                strict_short: true,
-                ..ClassifyConfig::default()
-            },
-        );
-        assert_eq!(
-            strict.classify(&decision(3, 4, 5, 2)).category,
-            Category::NonBestLong
-        );
     }
 
     #[test]

@@ -32,7 +32,14 @@ run cargo fmt --check
 # against cold recomputation — under optimized codegen too (debug-only
 # runs have missed wrapping/ordering bugs before).
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp \
-    --test differential --test fault_differential --test whatif_differential
+    --test differential --test fault_differential --test whatif_differential \
+    --test snapshot_roundtrip
+# Adj-RIB-in re-derivation gate (release): whatif_certified bakes edits
+# into `World::policies` and converges cold, so it cross-checks warm
+# re-derivation and forced re-export against plain propagation;
+# snapshot_roundtrip (above) reloads universes through `hydrate`, which
+# re-derives every AS's adj-RIB-in.
+run cargo test "${OFFLINE[@]}" --release -q -p ir-audit --test whatif_certified
 # Certificate-maintenance gate (release): ≥1000 randomized (certified
 # world, delta batch) pairs must get the same verdict from the incremental
 # DeltaAuditor as from a full re-audit of the edited world, and certified
